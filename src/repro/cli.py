@@ -49,10 +49,10 @@ default ``.repro-results/``).  ``suite`` additionally accepts
 running it in full.
 
 The global ``--engine-mode MODE`` option (before the subcommand) pins
-the detailed engine's execution mode — ``reference``, ``fast`` or
-``epoch-parallel`` (the default).  All modes are bit-identical in cycles
-and statistics (docs/microarchitecture.md); the flag only trades
-simulation speed for debuggability.
+the detailed engine's execution mode — ``reference`` or
+``epoch-parallel`` (the default, optimized mode).  Both modes are
+bit-identical in cycles and statistics (docs/microarchitecture.md); the
+flag only trades simulation speed for debuggability.
 """
 
 from __future__ import annotations
@@ -355,18 +355,24 @@ def cmd_exp(args: argparse.Namespace) -> int:
             print(f"{spec.name:12s} {spec.kind:9s} {axes:26s} {spec.title}")
         return 0
 
+    from .experiments.spec import check_only
     from .service import ExperimentJob, local_manager
 
+    names_to_run = registry.names() if args.action == "all" else args.names
+    only = tuple(args.only.split(",")) if args.only else ()
+    if only:
+        # Validate every experiment before the first one simulates.
+        for name in names_to_run:
+            check_only(registry.get(name), only)
     _apply_runner_options(args)
     reset_counters()
-    names_to_run = registry.names() if args.action == "all" else args.names
     # Thin client: one job per experiment through the shared in-process
     # JobManager, same scheduler the served path uses (docs/service.md).
     manager = local_manager()
     runs = [
         manager.run(ExperimentJob(
             experiment=name,
-            only=tuple(args.only.split(",")) if args.only else (),
+            only=only,
             sampled=bool(args.sampled),
         )).result
         for name in names_to_run
@@ -651,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine-mode", choices=ENGINE_MODES, metavar="MODE",
         help="detailed-engine execution mode: "
-             f"{'|'.join(ENGINE_MODES)} (default: epoch-parallel; all "
+             f"{'|'.join(ENGINE_MODES)} (default: epoch-parallel; both "
              "modes are bit-identical, so this only affects speed; "
              "overrides REPRO_ENGINE_MODE)",
     )

@@ -37,6 +37,7 @@ from typing import (
     Tuple,
 )
 
+from ..errors import ReproError
 from ..obs import metrics as _metrics
 from ..obs.tracing import span as _span
 from ..uarch.config import MachineConfig, baseline_machine, default_machine
@@ -290,6 +291,19 @@ def _cell_pairs(
     return pairs
 
 
+def check_only(spec: ExperimentSpec, only: Optional[List[str]]) -> None:
+    """Reject an ``only`` selection that leaves one of ``spec``'s suites
+    without a benchmark: its derived numbers (geometric means, per-suite
+    tables) are undefined on an empty suite."""
+    if only is None:
+        return
+    for suite_name in spec.suites:
+        if not any(b.name in only for b in suite(suite_name)):
+            raise ReproError(
+                f"{spec.name}: --only selects no {suite_name} benchmark"
+            )
+
+
 def execute_spec(
     spec: ExperimentSpec,
     only: Optional[List[str]] = None,
@@ -304,6 +318,7 @@ def execute_spec(
     counters plus any ``extra_counters`` (the registry passes a per-run
     instance so each :class:`ExperimentRun` carries its own delta).
     """
+    check_only(spec, only)
     sweep = Sweep(spec, only)
     sampling_cfg = _runner.resolve_sampling(sampling)
     counters = (_GLOBAL_COUNTERS,) + tuple(extra_counters)

@@ -5,7 +5,7 @@ Each survivor is one YAML file (deterministic sorted-key emission via
 session case that found it, and the full minimized program tree.  The
 regression suite (``tests/test_fuzz_regressions.py``) loads the directory
 and replays every entry as a named :class:`~repro.workloads.base.Workload`
-on both engine paths — so a fuzzing run can only ever *grow* the
+on both engine modes — so a fuzzing run can only ever *grow* the
 regression suite.
 """
 
@@ -176,55 +176,57 @@ def fixed_path_trigger(case) -> Optional[str]:
 
 
 def replay_entry(entry: CorpusEntry) -> Tuple[bool, str]:
-    """Re-execute a corpus entry on both engine paths.
+    """Re-execute a corpus entry on both engine modes.
 
     The contract depends on the entry's expectation.  ``oracle-fires``:
-    the oracle that flagged the entry must fire again on the fast *and*
-    the reference engine.  ``states-match``: the oracle must fire on
-    neither, the LoopFrog core must commit the functional executor's
-    exact memory, and :func:`fixed_path_trigger` must still hold.  In
-    both cases the two engine paths must agree on every statistic (the
-    bit-identical parity invariant).  Returns ``(ok, message)``.
+    the oracle that flagged the entry must fire again on the
+    epoch-parallel (default) *and* the reference engine.
+    ``states-match``: the oracle must fire on neither, the LoopFrog core
+    must commit the functional executor's exact memory, and
+    :func:`fixed_path_trigger` must still hold.  In both cases the two
+    engine modes must agree on every statistic (the bit-identical parity
+    invariant).  Returns ``(ok, message)``.
     """
     import dataclasses
 
     from ..errors import ReproError
-    from ..uarch.core import set_engine_reference_mode
+    from ..uarch.core import set_engine_mode
     from .engine import execute_spec
     from .oracles import ORACLES
 
     oracle = ORACLES.get(entry.oracle)
     if oracle is None:
         return False, f"unknown oracle {entry.oracle!r}"
+    runs = {}
     try:
-        set_engine_reference_mode(False)
-        try:
-            fast = execute_spec(entry.program)
-        finally:
-            set_engine_reference_mode(None)
-        set_engine_reference_mode(True)
-        try:
-            reference = execute_spec(entry.program)
-        finally:
-            set_engine_reference_mode(None)
+        for mode in ("epoch-parallel", "reference"):
+            set_engine_mode(mode)
+            try:
+                runs[mode] = execute_spec(entry.program)
+            finally:
+                set_engine_mode(None)
     except ReproError as exc:
         return False, f"crashed: {exc}"
-    if dataclasses.asdict(fast.stats) != dataclasses.asdict(reference.stats):
-        return False, "fast/reference engine stats diverged"
-    if fast.frog_image != reference.frog_image:
-        return False, "fast/reference engine memory diverged"
+    optimized = runs["epoch-parallel"]
+    reference = runs["reference"]
+    if dataclasses.asdict(optimized.stats) != dataclasses.asdict(
+        reference.stats
+    ):
+        return False, "epoch-parallel/reference engine stats diverged"
+    if optimized.frog_image != reference.frog_image:
+        return False, "epoch-parallel/reference engine memory diverged"
     if entry.expect == EXPECT_STATES_MATCH:
-        if oracle(fast) is not None:
+        if oracle(optimized) is not None:
             return False, f"{entry.oracle} fires again (fix regressed)"
-        detail = fixed_path_trigger(fast)
+        detail = fixed_path_trigger(optimized)
         if detail is None:
-            if fast.frog_image != fast.exec_image:
+            if optimized.frog_image != optimized.exec_image:
                 return False, "committed state diverged (fix regressed)"
             return False, "entry no longer exercises the fixed path"
         return True, detail
-    fast_detail = oracle(fast)
-    if fast_detail is None:
-        return False, "oracle no longer fires on the fast engine"
+    detail = oracle(optimized)
+    if detail is None:
+        return False, "oracle no longer fires on the epoch-parallel engine"
     if oracle(reference) is None:
         return False, "oracle no longer fires on the reference engine"
-    return True, fast_detail
+    return True, detail

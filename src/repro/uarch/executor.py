@@ -11,9 +11,9 @@ that hint instructions never change sequential semantics (section 3).
 
 Two closure-compiled siblings trade this module's generality for speed —
 :mod:`repro.sampling.fastforward` (architectural-only fast-forwarding)
-and :mod:`repro.uarch.fastpath` (the detailed engine's fast path).  Both
-are differentially tested against the dispatch-table semantics here,
-which stays the oracle.
+and :mod:`repro.uarch.fastpath` (the detailed engine's optimized
+fetch).  Both are differentially tested against the dispatch-table
+semantics here, which stays the oracle.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ class Tracer:
         """Wrap the engine's stage methods to record activity."""
         tracer = cls(max_instructions)
         tracer._engine = engine
-        # The fast path inlines the per-stage helpers hooked below, so a
+        # The episode loops inline the per-stage helpers hooked below, so a
         # traced engine must run the reference pipeline (bit-identical
         # timing, just observable stage calls).
         engine.use_reference_path()

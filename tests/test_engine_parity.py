@@ -1,27 +1,27 @@
-"""Differential parity: every engine mode vs the reference engine.
+"""Differential parity: the optimized engine vs the reference engine.
 
-The engine has three execution modes (``repro.uarch.core.ENGINE_MODES``):
-the per-phase ``reference`` pipeline, the serial ``fast`` path (compiled
-per-instruction closures, merged single-threadlet step, slot-order
-caches, batched statistics), and ``epoch-parallel`` (the fast path plus
-episode execution: cross-cycle monolithic loops with epoch-granularity
-batched hazard and statistics bookkeeping).  Both optimized modes claim
-to be *bit-identical* to the reference pipeline.  This suite is that
-claim, mechanised as a three-way parity matrix:
+The engine has two execution modes (``repro.uarch.core.ENGINE_MODES``):
+the per-phase ``reference`` pipeline and the optimized ``epoch-parallel``
+mode (episode execution: cross-cycle monolithic loops with compiled
+per-instruction closures, slot-order caches, epoch-granularity batched
+hazard and statistics bookkeeping, and idle-cycle skipping).  The
+optimized mode claims to be *bit-identical* to the reference pipeline.
+This suite is that claim, mechanised as a reference x epoch-parallel
+parity matrix over
 
 * the 50 seeded fuzz programs from :mod:`tests.test_differential`, and
 * every workload of every registered suite (spec2017, spec2006, longrun),
 
-each run through all three engine modes on both machine configurations,
+each run through both engine modes on both machine configurations,
 with the full :class:`~repro.uarch.statistics.SimStats` record — cycles,
 every counter, per-region breakdowns — plus the observability metric
-snapshot asserted equal field-for-field.  A separate case proves
-:meth:`Engine.run_window` (the sampled-simulation entry point) agrees on
-warmup/measured boundaries too.
+snapshot asserted equal field-for-field.  Separate cases prove
+:meth:`Engine.run_window` (the sampled-simulation entry point) and a
+whole sampled run agree on warmup/measured boundaries too.
 
 Every leg pins its mode explicitly with ``set_engine_mode``, so the
-suite still compares all three modes when CI runs the whole test tier
-under ``REPRO_ENGINE_REFERENCE=1`` or ``REPRO_ENGINE_MODE=...``.
+suite still compares both modes when CI runs the whole test tier
+under ``REPRO_ENGINE_MODE=reference``.
 """
 
 import dataclasses
@@ -31,9 +31,10 @@ import pytest
 
 from repro.compiler import compile_frog
 from repro.obs.metrics import load_all
+from repro.sampling.runner import run_workload_sampled
 from repro.uarch.config import baseline_machine, default_machine
 from repro.uarch.core import ENGINE_MODES, Engine, set_engine_mode
-from repro.workloads.suites import SUITE_NAMES, suite
+from repro.workloads.suites import SUITE_NAMES, get_workload, suite
 
 from tests.test_differential import (
     NUM_PROGRAMS,
@@ -47,7 +48,7 @@ MACHINES = {
     "loopfrog": default_machine,
 }
 
-# The optimized modes, each compared field-for-field to "reference".
+# The optimized mode, compared field-for-field to "reference".
 OPTIMIZED_MODES = tuple(m for m in ENGINE_MODES if m != "reference")
 
 _METRICS = load_all()
@@ -154,21 +155,40 @@ def test_suite_workload_parity(suite_name, bench_name, machine_name):
 # Sampled-window entry point parity
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("machine_name", sorted(MACHINES))
-def test_run_window_parity(machine_name):
+def _engine(workload, machine, mode):
+    memory, regs = workload.fresh_input()
+    set_engine_mode(mode)
+    try:
+        engine = Engine(machine, workload.program, memory, regs)
+    finally:
+        set_engine_mode(None)
+    assert engine.engine_mode == mode
+    return engine
+
+
+# Window cases on imagick_conv, the first spec2017 workload: a warm-up
+# boundary in the serial prologue on both machines, and on LoopFrog one
+# that lands while four threadlets are live.
+MULTI_EPISODE_WARMUP = 1558
+WINDOW_CASES = [
+    pytest.param("baseline", 500, id="baseline"),
+    pytest.param("loopfrog", 500, id="loopfrog"),
+    pytest.param("loopfrog", MULTI_EPISODE_WARMUP,
+                 id="loopfrog-warmup-in-multi-episode"),
+]
+
+
+@pytest.mark.parametrize("machine_name,warmup", WINDOW_CASES)
+def test_run_window_parity(machine_name, warmup):
     workload = suite("spec2017")[0].phases[0][0]
     machine = MACHINES[machine_name]
     windows = {}
     for mode in ENGINE_MODES:
-        memory, regs = workload.fresh_input()
-        set_engine_mode(mode)
-        try:
-            engine = Engine(machine(), workload.program, memory, regs)
-        finally:
-            set_engine_mode(None)
-        windows[mode] = engine.run_window(
-            2_000, warmup_instructions=500,
-        )
+        engine = _engine(workload, machine(), mode)
+        windows[mode] = engine.run_window(2_000, warmup_instructions=warmup)
+        if mode != "reference":
+            # The window ran on the episode loops, not per-cycle steps.
+            assert engine.ep_episodes_single + engine.ep_episodes_multi > 0
     ref = windows["reference"]
     for mode in OPTIMIZED_MODES:
         cur = windows[mode]
@@ -184,3 +204,48 @@ def test_run_window_parity(machine_name):
             ref.stats, cur.stats, mode,
             f"run_window stats on {machine_name}",
         )
+
+
+def test_window_warmup_boundary_inside_multi_threadlet_episode():
+    """The multi-episode window case really cuts a live episode: the
+    optimized engine stops on the warm-up target with several threadlets
+    still active."""
+    workload = suite("spec2017")[0].phases[0][0]
+    engine = _engine(workload, default_machine(), "epoch-parallel")
+    window = engine.run_window(0, warmup_instructions=MULTI_EPISODE_WARMUP)
+    assert not window.finished
+    assert len(engine.order) > 1
+    assert engine.ep_episodes_multi > 0
+
+
+def test_sampled_run_parity():
+    """A whole sampled run of one longrun phase: every window measurement
+    and the extrapolated estimate agree between the modes."""
+    workload = get_workload("longrun_conv")
+    results = {}
+    for mode in ENGINE_MODES:
+        set_engine_mode(mode)
+        try:
+            results[mode] = run_workload_sampled(
+                workload, default_machine(), use_cache=False, jobs=1,
+            )
+        finally:
+            set_engine_mode(None)
+    ref = results["reference"]
+    assert len(ref.windows) > 1
+    for mode in OPTIMIZED_MODES:
+        cur = results[mode]
+        assert len(cur.windows) == len(ref.windows)
+        for ref_w, cur_w in zip(ref.windows, cur.windows):
+            label = f"sampled window {ref_w.interval_index} in mode {mode}"
+            assert dataclasses.replace(cur_w, stats=None) == (
+                dataclasses.replace(ref_w, stats=None)
+            ), label
+            _assert_parity(ref_w.stats, cur_w.stats, mode, label)
+        # The estimate: every field but the windows (compared above)
+        # and the fast-forward wall-clock rate.
+        assert dataclasses.replace(
+            cur, windows=[], ff_instructions_per_second=0.0
+        ) == dataclasses.replace(
+            ref, windows=[], ff_instructions_per_second=0.0
+        ), f"sampled estimate diverged in mode {mode}"

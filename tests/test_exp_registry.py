@@ -255,6 +255,29 @@ def test_cli_exp_run_unknown_name_errors(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["exp", "run", "fig6", "--only", "imagick", "--no-store"],
+    ["exp", "all", "--only", "imagick,x264", "--no-store"],
+])
+def test_cli_exp_only_leaving_a_suite_empty_errors(argv, capsys):
+    reset_counters()
+    rc = main(argv)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: fig6: --only selects no spec2006 benchmark\n"
+    )
+    assert captured.out == ""
+    assert global_counters().cells_total == 0
+
+
+def test_run_experiment_rejects_only_leaving_a_suite_empty():
+    reset_counters()
+    with pytest.raises(ReproError, match="table2: --only selects no spec2006"):
+        registry.run_experiment("table2", only=SUBSET17)
+    assert global_counters().cells_total == 0
+
+
 def test_cli_legacy_experiment_delegates_to_registry(capsys):
     rc = main(["experiment", "fig9", "--jobs", "1"])
     assert rc == 0

@@ -6,7 +6,7 @@ template has a sequential tail, and full stride aliasing where it has a
 stride knob — and require the full differential contract to hold:
 
 * the program compiles (with hints) and runs to completion,
-* the fast and reference engine paths are bit-identical
+* the epoch-parallel and reference engine modes are bit-identical
   (cycles, instructions, squashes, final memory),
 * the LoopFrog core's committed memory matches the functional executor.
 """
@@ -14,7 +14,7 @@ stride knob — and require the full differential contract to hold:
 import pytest
 
 from repro.uarch import LoopFrogCore
-from repro.uarch.core import set_engine_reference_mode
+from repro.uarch.core import set_engine_mode
 from repro.uarch.executor import Executor
 from repro.workloads.spec import WorkloadSpec, template_names, template_params
 
@@ -99,29 +99,31 @@ def test_boundary_case_differential(template, overrides, label):
     ex.run(max_instructions=4_000_000)
     exec_image = _image(ex.memory)
 
-    # Fast engine path.
+    # Optimized (epoch-parallel) engine.
     memory, regs = workload.fresh_input()
-    set_engine_reference_mode(False)
+    set_engine_mode("epoch-parallel")
     try:
-        fast = LoopFrogCore().run(program, memory, regs,
-                                  max_cycles=MAX_CYCLES)
+        optimized = LoopFrogCore().run(program, memory, regs,
+                                       max_cycles=MAX_CYCLES)
     finally:
-        set_engine_reference_mode(None)
+        set_engine_mode(None)
 
-    # Reference engine path.
+    # Reference engine.
     memory, regs = workload.fresh_input()
-    set_engine_reference_mode(True)
+    set_engine_mode("reference")
     try:
         ref = LoopFrogCore().run(program, memory, regs,
                                  max_cycles=MAX_CYCLES)
     finally:
-        set_engine_reference_mode(None)
+        set_engine_mode(None)
 
     # Engine parity: bit-identical behaviour.
-    assert fast.stats.cycles == ref.stats.cycles
-    assert fast.stats.arch_instructions == ref.stats.arch_instructions
-    assert fast.stats.threadlets_squashed == ref.stats.threadlets_squashed
-    assert _image(fast.memory) == _image(ref.memory)
+    assert optimized.stats.cycles == ref.stats.cycles
+    assert optimized.stats.arch_instructions == ref.stats.arch_instructions
+    assert (
+        optimized.stats.threadlets_squashed == ref.stats.threadlets_squashed
+    )
+    assert _image(optimized.memory) == _image(ref.memory)
 
     # Semantics: speculation must commit the executor's memory.
-    assert _image(fast.memory) == exec_image
+    assert _image(optimized.memory) == exec_image

@@ -151,14 +151,7 @@ def compare(baseline, current, tolerance=DEFAULT_TOLERANCE):
         )
     cur_ep = current.get("epoch_parallel_instructions_per_second")
     if cur_ep:
-        cur_fast = current.get("fast_instructions_per_second")
-        vs_fast = (
-            f", {cur_ep / cur_fast:.2f}x the serial fast path "
-            f"({cur_fast:.0f} instr/s)" if cur_fast else ""
-        )
-        lines.append(
-            f"epoch-parallel: {cur_ep:.0f} instr/s{vs_fast}"
-        )
+        lines.append(f"epoch-parallel: {cur_ep:.0f} instr/s")
 
     # -- fuzz throughput (informational; no gate — the fuzz session mixes
     # compile, differential execution and minimization, so its programs/s

@@ -14,13 +14,13 @@ default) under cProfile and reports two views:
 
 The JSON output is the before/after evidence artifact for engine perf
 work: run it on the parent commit and on your branch, and diff the
-phase seconds.  ``--mode {reference,fast,epoch-parallel}`` pins the
-engine mode to profile (default: the session default, epoch-parallel);
+phase seconds.  ``--mode {reference,epoch-parallel}`` pins the engine
+mode to profile (default: the session default, epoch-parallel);
 ``--reference`` is a legacy alias for ``--mode reference``.  Under
-epoch-parallel the breakdown additionally attributes time to the two
-episode monoliths (``episode_single``/``episode_multi``) and reports
-per-episode counts, so the epoch-batched paths and the serial
-reconciliation fallback are visible separately.
+epoch-parallel the breakdown attributes time to the two episode
+monoliths (``episode_single``/``episode_multi``) and reports
+per-episode counts, so single- and multi-threadlet episodes are
+visible separately.
 """
 
 import argparse
@@ -30,9 +30,8 @@ import pstats
 import sys
 import time
 
-# The engine step phases, in the order step() runs them.  Both the fast
-# path and the reference path keep these method names, so the breakdown
-# is comparable across engine modes.
+# The reference step phases, in the order step() runs them, plus the
+# episode monoliths and out-of-line helpers the optimized mode calls.
 PHASE_METHODS = {
     "completions": "_process_completions",
     "commit": "_commit",
@@ -41,9 +40,6 @@ PHASE_METHODS = {
     "dispatch": "_dispatch",
     "fetch": "_fetch",
     "per_cycle_stats": "_per_cycle_stats",
-    # The fast path merges every phase into one monolithic step for the
-    # dominant single-threadlet case; attribute it as its own phase.
-    "single_threadlet_step": "_fast_step_single",
     # The epoch-parallel mode executes *episodes* — maximal runs of
     # cycles with a stable threadlet population — as cross-cycle
     # monoliths.  Each call is one episode, so the calls column is the
@@ -99,19 +95,14 @@ def _phase_breakdown(stats, wall_seconds):
 
     Methods are matched by (core.py, method-name); cumtime of each phase
     method is exactly the wall time spent inside that phase (phases never
-    call each other).  The fast path prefixes its phase methods with
-    ``_fast`` (e.g. ``_fast_commit``), so both spellings fold into the
-    same phase bucket and reference/fast profiles stay comparable.
+    call each other).
     """
     phases = {}
     for (filename, _lineno, name), (_cc, nc, _tt, ct, _callers) in (
         stats.stats.items()
     ):
         for phase, method in PHASE_METHODS.items():
-            if (
-                (name == method or name == "_fast" + method)
-                and filename.endswith("core.py")
-            ):
+            if name == method and filename.endswith("core.py"):
                 entry = phases.setdefault(
                     phase, {"calls": 0, "seconds": 0.0}
                 )
@@ -191,8 +182,7 @@ def main(argv=None):
                         help="benchmarks of the suite to profile")
     parser.add_argument("--top", type=int, default=25,
                         help="hot functions to report")
-    parser.add_argument("--mode", choices=("reference", "fast",
-                                           "epoch-parallel"),
+    parser.add_argument("--mode", choices=("reference", "epoch-parallel"),
                         help="engine mode to profile (default: the "
                              "session default, epoch-parallel)")
     parser.add_argument("--reference", action="store_true",
