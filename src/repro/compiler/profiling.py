@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from ..isa.instructions import Instruction, Opcode
 from ..isa.program import Program
-from ..uarch.executor import Executor
+from ..sampling.fastforward import FastForwardExecutor
 from ..uarch.memory_state import SparseMemory
 
 
@@ -54,42 +54,43 @@ def profile_program(
     initial_regs: Optional[dict] = None,
     max_instructions: int = 5_000_000,
 ) -> List[LoopProfile]:
-    """One functional run; returns per-region loop profiles."""
-    executor = Executor(program, memory)
-    if initial_regs:
-        executor.regs.update(initial_regs)
+    """One functional run; returns per-region loop profiles.
 
+    The run is the fast-forward executor's hint-stepped run.  A region's
+    instructions are those after its entering ``detach`` up to and
+    including its ``sync`` (or the last one before ``halt``); coverage
+    divides by the whole run, ``halt`` included.
+    """
+    ff = FastForwardExecutor(program, memory, initial_regs)
     profiles: Dict[str, LoopProfile] = {}
     active: Optional[str] = None
     active_index: Optional[int] = None
+    entered = 0  # instruction count at the active region's entry
 
-    def hook(pc, instr, result):
-        nonlocal active, active_index
-        if active is not None:
-            profiles[active].instructions += 1
-        if not instr.is_hint:
-            return
+    def on_hint(instr, icount):
+        nonlocal active, active_index, entered
         op = instr.opcode
         if op is Opcode.DETACH and active is None:
             active = instr.region
             active_index = instr.region_index
+            entered = icount
             profile = profiles.setdefault(active, LoopProfile(active))
             profile.entries += 1
             profile.iterations += 1
-        elif op is Opcode.REATTACH and active_index == instr.region_index:
-            # Falling through the reattach into the continuation starts the
-            # next iteration; count it at the next detach instead.
-            pass
         elif op is Opcode.DETACH and active_index == instr.region_index:
+            # Falling through a reattach into the continuation starts the
+            # next iteration; it is counted here, at the next detach.
             profiles[active].iterations += 1
         elif op is Opcode.SYNC and active_index == instr.region_index:
+            profiles[active].instructions += icount - entered
             active = None
             active_index = None
 
-    executor._trace_hook = hook
-    executor.run(max_instructions=max_instructions)
+    last = ff.run_hints(on_hint, max_instructions)
+    if active is not None:
+        profiles[active].instructions += last - entered
 
-    total = executor.instruction_count
+    total = ff.icount
     result = list(profiles.values())
     for profile in result:
         profile.coverage = profile.instructions / total if total else 0.0

@@ -24,10 +24,19 @@ architectural checkpoints, and bounded functional-warmup recording
 (recent data addresses + branch outcomes) for replay into the detailed
 engine's caches and branch predictor.
 
-A differential test (``tests/test_sampling_fastforward.py``) pins the
-executor against the golden :class:`~repro.uarch.executor.Executor` on
-seeded random programs: same final registers, memory and instruction
-count.
+It also serves the analyses that need one functional run segmented at
+the LoopFrog hints: :meth:`FastForwardExecutor.run_hints` reports each
+executed DETACH/REATTACH/SYNC with the running instruction count and
+lets the caller observe loads and stores.  Table 3's task extraction
+(:func:`repro.tls.common.extract_tasks`) and profile-guided loop
+selection (:func:`repro.compiler.profiling.profile_program`) run on it.
+
+Differential tests pin the executor against the golden
+:class:`~repro.uarch.executor.Executor`: on seeded random programs
+(``tests/test_sampling_fastforward.py``: same final registers, memory,
+instruction count and fault messages) and, through the hint-stepped run,
+on every spec phase (``tests/test_tls.py``, ``tests/test_profiling.py``:
+the same task traces and loop profiles as a ``trace_hook`` run).
 """
 
 from __future__ import annotations
@@ -55,6 +64,14 @@ _WRAP64 = 1 << 64
 
 class _Halt(Exception):
     """Raised by the HALT closure; carries the halting pc."""
+
+    def __init__(self, pc: int):
+        self.pc = pc
+
+
+class _HintStop(Exception):
+    """Raised by a hint closure of :meth:`FastForwardExecutor.run_hints`;
+    carries the hint's pc."""
 
     def __init__(self, pc: int):
         self.pc = pc
@@ -220,13 +237,14 @@ def _compile_instruction(
         b = srcs[1] if has_rb else None
         imm = None if has_rb else instr.imm
         want_quot = op is Opcode.DIV
+        msg = f"division by zero at pc={pc}: {instr}"
 
         def h(regs, load, store, _d=dest, _a=a, _b=b, _i=imm,
-              _q=want_quot, _p=pc, _n=nxt):
+              _q=want_quot, _msg=msg, _n=nxt):
             av = int(regs[_a])
             bv = int(regs[_b]) if _b is not None else int(_i)
             if bv == 0:
-                raise ExecutionError(f"division by zero at pc={_p}")
+                raise ExecutionError(_msg)
             q = abs(av) // abs(bv)
             if (av < 0) != (bv < 0):
                 q = -q
@@ -359,9 +377,10 @@ def _compile_instruction(
         b = srcs[1] if has_rb else None
         imm = None if has_rb else instr.imm
         kind = op
+        msg = f"float division by zero at pc={pc}: {instr}"
 
         def h(regs, load, store, _d=dest, _a=a, _b=b, _i=imm,
-              _k=kind, _p=pc, _n=nxt):
+              _k=kind, _msg=msg, _n=nxt):
             av = regs[_a]
             bv = regs[_b] if _b is not None else _i
             if _k is Opcode.FADD:
@@ -372,18 +391,19 @@ def _compile_instruction(
                 regs[_d] = av * bv
             else:
                 if bv == 0.0:
-                    raise ExecutionError(f"float division by zero at pc={_p}")
+                    raise ExecutionError(_msg)
                 regs[_d] = av / bv
             return _n
         return h
 
     if op is Opcode.FSQRT:
         a = srcs[0]
+        msg = f"sqrt of negative at pc={pc}: {instr}"
 
-        def h(regs, load, store, _d=dest, _a=a, _p=pc, _n=nxt):
+        def h(regs, load, store, _d=dest, _a=a, _msg=msg, _n=nxt):
             av = regs[_a]
             if av < 0.0:
-                raise ExecutionError(f"sqrt of negative at pc={_p}")
+                raise ExecutionError(_msg)
             regs[_d] = math.sqrt(av)
             return _n
         return h
@@ -565,6 +585,22 @@ def _base_handlers(program: Program) -> List:
     return handlers
 
 
+def _hint_handlers(program: Program) -> List:
+    """The cached handlers with every DETACH/REATTACH/SYNC replaced by a
+    closure that raises :class:`_HintStop`, so hints cost nothing until
+    one executes."""
+    handlers = list(_base_handlers(program))
+    for pc, instr in enumerate(program.instructions):
+        if instr.is_hint:
+            stop = _HintStop(pc)
+
+            def h(regs, load, store, _e=stop):
+                raise _e
+
+            handlers[pc] = h
+    return handlers
+
+
 class _WarmupRecorder:
     """History buffers the recording closures append into.
 
@@ -731,6 +767,57 @@ class FastForwardExecutor:
                 )
             self.run(max_instructions - self.icount)
         return self.icount
+
+    def run_hints(self, on_hint, max_instructions: int,
+                  load=None, store=None) -> int:
+        """Run to ``halt``, reporting every executed hint.
+
+        ``on_hint(instr, icount)`` is called after each DETACH, REATTACH
+        and SYNC, with ``icount`` counting the hint itself.  ``load`` and
+        ``store`` replace the memory callables, so a caller can observe
+        every data access; they must forward to ``self.memory``.  The run
+        uses the uninstrumented cached closures: no BBV counting and no
+        warm-up recording.
+
+        Returns the instruction count before ``halt``: what a per-instruction
+        ``trace_hook`` of :class:`~repro.uarch.executor.Executor` sees, which
+        never includes the halt.  ``self.icount`` counts the halt, as after
+        :meth:`run`.  Raises the golden executor's ``exceeded`` error when
+        ``max_instructions`` runs out first.
+        """
+        handlers = _hint_handlers(self.program)
+        instrs = self.program.instructions
+        regs = self.regs
+        load = load or self._load
+        store = store or self._store
+        pc = self.pc
+        icount = self.icount
+        while True:
+            try:
+                while icount < max_instructions:
+                    pc = handlers[pc](regs, load, store)
+                    icount += 1
+                raise ExecutionError(
+                    f"{self.program.name} exceeded {max_instructions} "
+                    f"instructions"
+                )
+            except _HintStop as hint:
+                # The stop is raised again at the next execution of this
+                # hint; dropping the traceback keeps it from growing.
+                hint.__traceback__ = None
+                icount += 1
+                pc = hint.pc + 1
+                on_hint(instrs[hint.pc], icount)
+            except _Halt as halt:
+                halt.__traceback__ = None
+                self.pc = halt.pc
+                self.icount = icount + 1
+                self.halted = True
+                return icount
+            except IndexError:
+                raise ExecutionError(
+                    f"pc {pc} out of range in {self.program.name}"
+                ) from None
 
     # -- sampling hooks ------------------------------------------------------
 

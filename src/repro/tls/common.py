@@ -19,7 +19,7 @@ from typing import List, Optional, Set
 
 from ..isa.instructions import Opcode
 from ..isa.program import Program
-from ..uarch.executor import Executor
+from ..sampling.fastforward import FastForwardExecutor
 from ..uarch.memory_state import SparseMemory
 
 
@@ -65,45 +65,53 @@ def extract_tasks(
     Task boundaries follow the LoopFrog region semantics: inside an
     annotated loop each iteration (ending at its ``reattach``) is one
     parallel task; code outside annotated loops accumulates into serial
-    tasks.
-    """
-    executor = Executor(program, memory)
-    if initial_regs:
-        executor.regs.update(initial_regs)
+    tasks.  A hint belongs to the task it ends; ``halt`` belongs to none.
 
+    The run is the fast-forward executor's hint-stepped run: task sizes
+    are differences of the instruction count at the hints, and the
+    read/write sets are filled by wrapped ``load``/``store`` callables.
+    """
+    ff = FastForwardExecutor(program, memory, initial_regs)
     tasks: List[Task] = []
     current = Task(0, 0)
+    start = 0  # instruction count at which ``current`` began
     region: Optional[int] = None
 
-    def close(parallel_next: bool) -> None:
-        nonlocal current
+    def close(icount: int, parallel_next: bool) -> None:
+        nonlocal current, start
+        current.instructions = icount - start
         if current.instructions:
             tasks.append(current)
         current = Task(len(tasks), 0, parallel=parallel_next)
+        start = icount
 
-    def hook(pc, instr, result):
+    base_load = ff.memory.load
+    base_store = ff.memory.store
+
+    def load(addr, size):
+        current.reads.update(range(addr // granule_bytes,
+                                   (addr + size - 1) // granule_bytes + 1))
+        return base_load(addr, size)
+
+    def store(addr, size, value):
+        current.writes.update(range(addr // granule_bytes,
+                                    (addr + size - 1) // granule_bytes + 1))
+        base_store(addr, size, value)
+
+    def on_hint(instr, icount):
         nonlocal region
-        current.instructions += 1
-        if result.mem_addr is not None:
-            g0 = result.mem_addr // granule_bytes
-            g1 = (result.mem_addr + result.mem_size - 1) // granule_bytes
-            target = current.writes if instr.is_store else current.reads
-            target.update(range(g0, g1 + 1))
-        if not instr.is_hint:
-            return
         op = instr.opcode
         if op is Opcode.DETACH and region is None:
             region = instr.region_index
-            close(parallel_next=True)
+            close(icount, parallel_next=True)
         elif op is Opcode.REATTACH and region == instr.region_index:
-            close(parallel_next=True)
+            close(icount, parallel_next=True)
         elif op is Opcode.SYNC and region == instr.region_index:
             region = None
-            close(parallel_next=False)
+            close(icount, parallel_next=False)
 
-    executor._trace_hook = hook
-    executor.run(max_instructions=max_instructions)
-    close(parallel_next=False)
+    close(ff.run_hints(on_hint, max_instructions, load, store),
+          parallel_next=False)
     return TaskTrace(tasks)
 
 

@@ -464,7 +464,8 @@ class Executor:
         program: the program to run.
         memory: optional pre-initialised memory (workload inputs).
         trace_hook: optional callable invoked per retired instruction with
-            ``(pc, instr, result)``; used by profiling and by tests.
+            ``(pc, instr, result)``; the oracle the tests hold the
+            fast-forward executor's hint-stepped run against.
     """
 
     def __init__(

@@ -19,6 +19,8 @@ data-dependent branches and speculation pressure included.
 import pytest
 
 from repro.compiler import compile_frog
+from repro.errors import ExecutionError
+from repro.isa.assembler import assemble
 from repro.sampling.fastforward import (
     FastForwardExecutor,
     collect_checkpoints,
@@ -137,3 +139,21 @@ def test_fast_forward_run_to_is_exact():
     ff.run_to(target)
     assert ff.icount == target
     assert not ff.halted
+
+
+@pytest.mark.parametrize("fault", [
+    "li r1, 7\nli r2, 0\ndiv r3, r1, r2",
+    "li r1, 7\nrem r3, r1, 0",
+    "fli f1, 1.5\nfli f2, 0.0\nfdiv f3, f1, f2",
+    "fli f1, -4.0\nfsqrt f2, f1",
+], ids=["div", "rem", "fdiv", "fsqrt"])
+def test_fault_messages_match_functional_executor(fault):
+    """A faulting workload gives the same one-line typed error whichever
+    functional interpreter runs it."""
+    program = assemble(f"nop\n{fault}\nhalt\n")
+    with pytest.raises(ExecutionError) as golden:
+        Executor(program).run()
+    with pytest.raises(ExecutionError) as fast:
+        FastForwardExecutor(program).run_to_halt()
+    assert str(fast.value) == str(golden.value)
+    assert str(golden.value).endswith(f": {program.instructions[-2]}")

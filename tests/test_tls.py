@@ -1,17 +1,27 @@
 """Tests for the classic-TLS models used in the table-3 comparison."""
 
+import random
 
-from repro.compiler import compile_frog
+import pytest
+
+from repro.compiler import CompileOptions, compile_frog
+from repro.errors import ExecutionError
+from repro.fuzz.model import STMT_CARRIED, STMT_SHARED, generate_program
+from repro.isa.assembler import assemble
+from repro.isa.instructions import Opcode
 from repro.tls import (
     MultiscalarConfig,
     StampedeConfig,
     Task,
+    TaskTrace,
     conflicts_with,
     extract_tasks,
     simulate_multiscalar,
     simulate_stampede,
 )
 from repro.uarch import SparseMemory
+from repro.uarch.executor import Executor
+from repro.workloads.suites import suite
 
 
 PARALLEL = """
@@ -24,11 +34,15 @@ fn main(dst: ptr<int>, src: ptr<int>, n: int) {
 """
 
 
-def parallel_trace(n=32):
-    program = compile_frog(PARALLEL).program
+def parallel_input(n):
     mem = SparseMemory()
     mem.store_int_array(2000, list(range(n)))
-    return extract_tasks(program, mem, {"r1": 1000, "r2": 2000, "r3": n})
+    return mem, {"r1": 1000, "r2": 2000, "r3": n}
+
+
+def parallel_trace(n=32):
+    program = compile_frog(PARALLEL).program
+    return extract_tasks(program, *parallel_input(n))
 
 
 def test_extract_tasks_segments_iterations():
@@ -194,3 +208,189 @@ def test_scheme_configs_match_table3_rows():
     assert MultiscalarConfig().area_factor == 8.0
     assert StampedeConfig().num_cores == 4
     assert StampedeConfig().area_factor > 4.0
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: extract_tasks against a golden-executor segmentation
+# ---------------------------------------------------------------------------
+
+
+def reference_extract(program, memory=None, initial_regs=None,
+                      granule_bytes=8, max_instructions=5_000_000):
+    """The segmentation algorithm as a per-instruction ``trace_hook`` on
+    the golden :class:`Executor` — the oracle ``extract_tasks`` must
+    reproduce task for task."""
+    executor = Executor(program, memory)
+    if initial_regs:
+        executor.regs.update(initial_regs)
+    tasks = []
+    current = Task(0, 0)
+    region = None
+
+    def close(parallel_next):
+        nonlocal current
+        if current.instructions:
+            tasks.append(current)
+        current = Task(len(tasks), 0, parallel=parallel_next)
+
+    def hook(pc, instr, result):
+        nonlocal region
+        current.instructions += 1
+        if result.mem_addr is not None:
+            g0 = result.mem_addr // granule_bytes
+            g1 = (result.mem_addr + result.mem_size - 1) // granule_bytes
+            target = current.writes if instr.is_store else current.reads
+            target.update(range(g0, g1 + 1))
+        op = instr.opcode
+        if op is Opcode.DETACH and region is None:
+            region = instr.region_index
+            close(parallel_next=True)
+        elif op is Opcode.REATTACH and region == instr.region_index:
+            close(parallel_next=True)
+        elif op is Opcode.SYNC and region == instr.region_index:
+            region = None
+            close(parallel_next=False)
+
+    executor._trace_hook = hook
+    executor.run(max_instructions=max_instructions)
+    close(parallel_next=False)
+    return TaskTrace(tasks)
+
+
+def assert_same_trace(program, make_input, **kwargs):
+    """Both segmentations of one run; returns the fast one."""
+    memory, regs = make_input()
+    expected = reference_extract(program, memory, regs, **kwargs)
+    memory, regs = make_input()
+    actual = extract_tasks(program, memory, regs, **kwargs)
+    assert actual.tasks == expected.tasks, program.name
+    return actual
+
+
+@pytest.mark.parametrize("suite_name", ["spec2017", "spec2006"])
+def test_extract_matches_reference_on_every_spec_phase(suite_name):
+    for benchmark in suite(suite_name):
+        for workload, _ in benchmark.phases:
+            trace = assert_same_trace(workload.program, workload.fresh_input)
+            assert trace.tasks
+
+
+FUZZ_SEEDS = range(12)
+
+
+def fuzz_specs():
+    return [generate_program(random.Random(seed)) for seed in FUZZ_SEEDS]
+
+
+def test_fuzz_seeds_cover_nested_carried_and_shared_loops():
+    loops = [loop for spec in fuzz_specs() for loop in spec.loops]
+    kinds = {stmt.kind for loop in loops for stmt in loop.stmts}
+    assert any(loop.nested_trip for loop in loops)
+    assert {STMT_CARRIED, STMT_SHARED} <= kinds
+
+
+@pytest.mark.parametrize("mark_all", [False, True],
+                         ids=["pragmas", "all-loops"])
+def test_extract_matches_reference_on_fuzz_programs(mark_all):
+    # Marking every loop also annotates the inner loops of nests, whose
+    # hints the enclosing region must ignore.
+    options = CompileOptions(mark_all_loops=mark_all)
+    for spec in fuzz_specs():
+        program = compile_frog(spec.render(), options).program
+        assert_same_trace(program, spec.fresh_input)
+
+
+def test_inner_region_hints_do_not_split_outer_tasks():
+    source = """
+    fn main(a: ptr<int>, n: int) {
+        #pragma loopfrog
+        for (var i: int = 0; i < n; i = i + 1) {
+            for (var j: int = 0; j < 4; j = j + 1) {
+                a[i * 4 + j] = i + j;
+            }
+        }
+    }
+    """
+
+    def make_input():
+        return SparseMemory(), {"r1": 1000, "r2": 6}
+
+    outer_only = compile_frog(source).program
+    marked = compile_frog(source, CompileOptions(mark_all_loops=True)).program
+    regions = {i.region_index for i in marked if i.is_hint}
+    assert len(regions) == 2
+    plain = assert_same_trace(outer_only, make_input)
+    nested = assert_same_trace(marked, make_input)
+    assert len(nested.parallel_tasks) == len(plain.parallel_tasks)
+
+
+def test_extract_matches_reference_on_straddling_accesses():
+    # 8-byte accesses against 4-byte granules: every access spans two.
+    program = compile_frog(PARALLEL).program
+    trace = assert_same_trace(program, lambda: parallel_input(16),
+                              granule_bytes=4)
+    body = [t for t in trace.parallel_tasks if t.writes]
+    assert body and all(len(t.writes) % 2 == 0 for t in body)
+
+    # Unaligned 8-byte accesses straddle two 8-byte granules.
+    unaligned = assemble("""
+        li r5, 0
+        li r6, 6
+        li r7, 4096
+        loop:
+        slt r8, r5, r6
+        beqz r8, exit
+        detach cont
+        shl r9, r5, 4
+        add r9, r9, r7
+        load r10, r9, 3
+        store r10, r9, 12
+        reattach cont
+        cont:
+        add r5, r5, 1
+        jmp loop
+        exit:
+        sync cont
+        halt
+    """)
+    trace = assert_same_trace(unaligned, lambda: (SparseMemory(), {}))
+    body = [t for t in trace.parallel_tasks if t.writes]
+    assert len(body) == 6
+    for k, task in enumerate(body):
+        base = (4096 + 16 * k) // 8
+        assert {base, base + 1} <= task.reads
+        assert task.writes == {base + 1, base + 2}
+
+
+def test_halt_is_not_counted():
+    program = assemble("li r1, 1\nli r2, 2\nhalt\n")
+    trace = assert_same_trace(program, lambda: (SparseMemory(), {}))
+    assert trace.total_instructions == 2
+    assert Executor(program).run().instructions == 3
+
+    # A region still open at halt ends there, halt excluded.
+    open_region = assemble("detach cont\nli r1, 1\ncont:\nhalt\n")
+    trace = assert_same_trace(open_region, lambda: (SparseMemory(), {}))
+    assert [(t.instructions, t.parallel) for t in trace.tasks] == [
+        (1, False), (1, True)]
+
+
+def test_instruction_budget_overflow_matches_reference():
+    program = compile_frog(PARALLEL).program
+
+    def run(extract, budget):
+        return extract(program, *parallel_input(8), max_instructions=budget)
+
+    memory, regs = parallel_input(8)
+    executor = Executor(program, memory)
+    executor.regs.update(regs)
+    budget = executor.run().instructions   # halt included
+    assert (run(extract_tasks, budget).tasks
+            == run(reference_extract, budget).tasks)
+    for short in (budget - 1, budget // 2):
+        with pytest.raises(ExecutionError) as golden:
+            run(reference_extract, short)
+        with pytest.raises(ExecutionError) as fast:
+            run(extract_tasks, short)
+        assert str(fast.value) == str(golden.value)
+        assert f"exceeded {short} instructions" in str(fast.value)
