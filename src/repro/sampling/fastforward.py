@@ -45,7 +45,7 @@ import math
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
 from ..isa.instructions import Instruction, Opcode
@@ -163,8 +163,10 @@ class WarmupState:
 class Checkpoint:
     """Architectural state at an instruction-count boundary.
 
-    ``memory`` is a private snapshot: starting an engine from a checkpoint
-    must not be able to corrupt it, so consumers copy it per window.
+    ``memory`` is a private snapshot that no later fast-forward touches.
+    A consumer that runs one engine per checkpoint may hand the snapshot
+    itself to that engine; :meth:`engine_memory` gives every further
+    engine started from the same checkpoint its own copy.
     """
 
     icount: int
@@ -907,18 +909,20 @@ def collect_checkpoints(
     initial_regs: Dict[str, float],
     boundaries: Sequence[int],
     record_warmup: int = 4096,
-) -> Dict[int, Checkpoint]:
-    """Re-run fast-forward, snapshotting state at each boundary icount.
+) -> Iterator[Tuple[int, Checkpoint]]:
+    """Re-run fast-forward, yielding ``(icount, checkpoint)`` at each
+    boundary, in ascending order.
 
     ``boundaries`` are absolute instruction counts (ascending order not
-    required; they are sorted).  A boundary of 0 yields the pristine
-    program-entry state without executing anything.
+    required; they are sorted, duplicates taken once).  A boundary of 0
+    yields the pristine program-entry state without executing anything.
+    The pass is lazy: fast-forward to the next boundary resumes only when
+    the consumer asks for it, so a consumer that drops each checkpoint
+    before the next holds one snapshot at a time.
     """
     ff = FastForwardExecutor(
         program, memory, initial_regs, record_warmup=record_warmup
     )
-    checkpoints: Dict[int, Checkpoint] = {}
     for target in sorted(set(boundaries)):
         ff.run_to(target)
-        checkpoints[target] = ff.checkpoint()
-    return checkpoints
+        yield target, ff.checkpoint()

@@ -9,13 +9,15 @@ The pipeline (docs/sampling.md) for one (program, machine) pair:
 3. **Checkpoint** (fast-forward pass 2): architectural snapshots at each
    representative's *window start* — ``warmup_intervals`` intervals
    before the representative, so the detailed engine warms up through
-   real preceding work before measurement begins — plus bounded
-   functional warmup history (recent data lines, branch outcomes).
+   real preceding work before measurement begins — plus functional
+   warmup history (last-touch data addresses, recent branch outcomes).
 4. **Windows**: the detailed :class:`~repro.uarch.core.Engine` replays
-   each window from its checkpoint via :meth:`Engine.run_window`;
-   windows are independent, so with ``jobs > 1`` they fan out across a
-   :class:`~concurrent.futures.ProcessPoolExecutor` exactly like the
-   exact runner's scheduler.
+   each window from its checkpoint via :meth:`Engine.run_window`.  Steps
+   3 and 4 are one streamed pass: each checkpoint's windows start as
+   soon as it is taken — inline, or with ``jobs > 1`` on a
+   :class:`~concurrent.futures.ProcessPoolExecutor` with at most ``jobs``
+   windows in flight — and the checkpoint is dropped before
+   fast-forward resumes.
 5. **Extrapolate**: weighted CPI combination with an error bound.
 
 Sampled estimates are cached in the persistent result store under
@@ -27,7 +29,12 @@ shadow a detailed simulation (or vice versa).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -38,7 +45,7 @@ from ..uarch.config import MachineConfig, default_machine
 from ..uarch.core import Engine
 from ..uarch.memory_state import SparseMemory
 from .extrapolate import SampledRunResult, WindowMeasurement, extrapolate
-from .fastforward import Checkpoint, collect_checkpoints, profile_intervals
+from .fastforward import collect_checkpoints, profile_intervals
 from .kmeans import cluster_intervals
 
 # Version of the *sampling methodology*.  Part of the sampled run digest:
@@ -79,8 +86,10 @@ class SamplingConfig:
     # instead reconstructed from the functional warmup record below.
     warmup_intervals: int = 0
     # Branch-history depth recorded at each checkpoint and replayed into
-    # the predictor (0 disables all warmup replay).  Cache contents are
-    # reconstructed from the full last-touch record regardless.
+    # the predictor.  Any positive depth also keeps the full last-touch
+    # record that cache contents are reconstructed from.  0 records
+    # nothing: windows get no warmup replay and fall back to the
+    # constructor's whole-working-set cache warming.
     functional_warmup: int = 4096
     # Fast-forward instruction budget (safety net against runaway kernels).
     max_instructions: int = 500_000_000
@@ -104,7 +113,8 @@ def _run_window_job(payload) -> WindowMeasurement:
     """Worker-side entry point: one detailed window from a checkpoint.
 
     The payload is plain picklable state (the parallel path ships it to a
-    worker process; the serial path calls this directly).
+    worker process; the serial path calls this directly, and the engine
+    mutates the payload's memory).
     """
     (machine, program, memory, regs, pc, warmup_state,
      interval_index, weight, warmup_instructions, n_instructions,
@@ -131,6 +141,78 @@ def _run_window_job(payload) -> WindowMeasurement:
         measured_cycles=window.measured_cycles,
         stats=window.stats,
     )
+
+
+def _stream_windows(
+    program: Program,
+    memory: SparseMemory,
+    initial_regs: Dict[str, float],
+    machine: MachineConfig,
+    config: SamplingConfig,
+    plan: List[Tuple[int, float, int, int, int]],
+    max_cycles: int,
+    jobs: int,
+) -> List[WindowMeasurement]:
+    """Checkpoint pass feeding the detailed windows; returns the
+    measurements in plan order.
+
+    Each checkpoint's windows start as soon as it is taken: inline with
+    ``jobs == 1``, else on a process pool with at most ``jobs`` windows
+    in flight.  A window runs on the checkpoint's own memory snapshot
+    (only a second window from the same start gets a copy), and the
+    checkpoint is dropped before fast-forward resumes, so the parent
+    holds one checkpoint and one engine at a time.
+    """
+    by_start: Dict[int, List[int]] = {}
+    for i, (_, _, window_start, _, _) in enumerate(plan):
+        by_start.setdefault(window_start, []).append(i)
+    windows: List[Optional[WindowMeasurement]] = [None] * len(plan)
+    pool = None
+    if jobs > 1 and len(plan) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(plan)))
+    in_flight: Dict[Future, int] = {}
+
+    def drain(limit: int) -> None:
+        while len(in_flight) > limit:
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                windows[in_flight.pop(future)] = future.result()
+
+    try:
+        checkpoints = collect_checkpoints(
+            program, memory.copy(), initial_regs, list(by_start),
+            record_warmup=config.functional_warmup,
+        )
+        while True:
+            with _span("sample.checkpoint"):
+                taken = next(checkpoints, None)
+            if taken is None:
+                break
+            window_start, cp = taken
+            users = by_start[window_start]
+            for n, i in enumerate(users):
+                rep, weight, _, warmup, length = plan[i]
+                payload = (
+                    machine, program,
+                    cp.memory if n == len(users) - 1 else cp.engine_memory(),
+                    cp.regs, cp.pc,
+                    cp.warmup if config.functional_warmup > 0 else None,
+                    rep, weight, warmup, length, max_cycles,
+                )
+                if pool is None:
+                    windows[i] = _run_window_job(payload)
+                else:
+                    drain(jobs - 1)
+                    in_flight[pool.submit(_run_window_job, payload)] = i
+                del payload
+            # No reference to this checkpoint may survive into the next
+            # fast-forward step.
+            del taken, cp
+        drain(0)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return windows
 
 
 def run_program_sampled(
@@ -195,34 +277,11 @@ def run_program_sampled(
         cluster = cluster_intervals(intervals, config.max_clusters, config.seed)
     plan = _window_plan(intervals, cluster, config.warmup_intervals)
 
-    with _span("sample.checkpoint", windows=len(plan)):
-        checkpoints = collect_checkpoints(
-            program, memory.copy(), initial_regs,
-            [window_start for _, _, window_start, _, _ in plan],
-            record_warmup=config.functional_warmup,
-        )
-
     with _span("sample.windows", windows=len(plan), jobs=jobs):
-        payloads = []
-        for rep, weight, window_start, warmup, length in plan:
-            cp: Checkpoint = checkpoints[window_start]
-            payloads.append((
-                machine, program, cp.engine_memory(), cp.regs, cp.pc,
-                cp.warmup if config.functional_warmup > 0 else None,
-                rep, weight, warmup, length, max_cycles,
-            ))
-        if jobs > 1 and len(payloads) > 1:
-            windows: List[WindowMeasurement] = [None] * len(payloads)
-            workers = min(jobs, len(payloads))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_run_window_job, payload): i
-                    for i, payload in enumerate(payloads)
-                }
-                for future in as_completed(futures):
-                    windows[futures[future]] = future.result()
-        else:
-            windows = [_run_window_job(payload) for payload in payloads]
+        windows = _stream_windows(
+            program, memory, initial_regs, machine, config, plan,
+            max_cycles, jobs,
+        )
 
     result = extrapolate(
         windows,

@@ -14,7 +14,7 @@ line already being fetched completes when the first fill arrives.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Reversible, Sequence, Tuple
 
 from ..obs import metrics as _metrics
 from .config import MemoryConfig
@@ -81,6 +81,27 @@ class _CacheLevel:
     def note_fill(self, line_addr: int, complete_cycle: int) -> None:
         self.inflight[line_addr] = complete_cycle
         self.insert(line_addr)
+
+
+def replay_last_touch(levels: Sequence[_CacheLevel], addresses: Reversible[int],
+                      line: int) -> None:
+    """Insert the lines of ``addresses`` (oldest touch first) into ``levels``.
+
+    Equivalent to inserting every address's line in order, but each
+    distinct line is inserted once, in last-touch order: an LRU level that
+    only receives inserts ends holding, per set, the most recently
+    inserted distinct lines in the order of their last insert, so the
+    earlier touches of a line change nothing.  The record is streamed
+    newest-first, so the only temporary is the (short) set of distinct
+    lines.
+    """
+    # A dict is an insertion-ordered set: first sight newest-first is the
+    # line's last touch.
+    lines = dict.fromkeys(addr // line for addr in reversed(addresses))
+    for level in levels:
+        insert = level.insert
+        for line_addr in reversed(lines):
+            insert(line_addr)
 
 
 class _StridePrefetcher:

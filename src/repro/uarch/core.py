@@ -44,7 +44,7 @@ from ..obs.tracing import current_tracer
 from ..isa.program import Program
 from ..isa.registers import initial_register_file
 from .branch_pred import FrontEndPredictor
-from .caches import MemoryHierarchy
+from .caches import MemoryHierarchy, replay_last_touch
 from .config import MachineConfig
 from .conflict import ConflictDetector
 from .executor import DISPATCH as _EXEC_DISPATCH
@@ -357,20 +357,17 @@ class Engine:
         self.ep_cycles_multi = 0
 
         # Path selection (see set_engine_mode above).  The reference
-        # engine binds nothing: it runs the class's per-phase methods one
-        # cycle per advance.  The optimized engine advances one episode
-        # per call (_ep_advance) and shadows the slot-order lookups with
-        # their cached variants; step() stays the reference cycle.
+        # engine runs the class's per-phase methods one cycle per advance;
+        # the optimized engine advances one episode per call (_ep_advance)
+        # and reads the cached slot orders; step() stays the reference
+        # cycle.  The choice is the ``reference_mode`` flag, never a bound
+        # method stored on the instance: that would be a reference cycle,
+        # keeping every finished engine alive until a full GC pass.
         mode = engine_mode()
         self.engine_mode = mode
         self.reference_mode = mode == "reference"
-        if self.reference_mode:
-            self._advance = self._reference_advance
-        else:
+        if not self.reference_mode:
             self._fast_prog = fast_program(program)
-            self._advance = self._ep_advance
-            self._older_slots = self._cached_older_slots
-            self._younger_slots = self._cached_younger_slots
         self._order_changed()
 
     def use_reference_path(self) -> None:
@@ -379,17 +376,11 @@ class Engine:
         Instrumentation that wraps the per-stage helpers (e.g.
         :class:`~repro.uarch.trace.Tracer` hooking ``_fetch_one`` /
         ``_dispatch_one``) needs the reference path, because the episode
-        loops inline those helpers.  Removing the instance-attribute
-        shadows restores the class methods; both paths are
-        bit-identical, so results do not change.
+        loops inline those helpers.  Both paths are bit-identical, so
+        results do not change.
         """
-        if self.reference_mode:
-            return
         self.reference_mode = True
         self.engine_mode = "reference"
-        self._advance = self._reference_advance
-        for name in ("_older_slots", "_younger_slots"):
-            self.__dict__.pop(name, None)
 
     def _warm_caches(self) -> None:
         """Pre-warm the L2 with the workload's initialised data and the L1I
@@ -397,9 +388,9 @@ class Engine:
         (the paper warms 50M instructions per SimPoint, section 6.1).
         Untouched regions — e.g. the huge sparse spans of miss-bound
         kernels — stay cold and pay full memory latency."""
-        line = self.machine.memory.line_size
-        for addr in self.memory.written_addresses():
-            self.hierarchy.l2.insert(addr // line)
+        replay_last_touch((self.hierarchy.l2,),
+                          self.memory.written_addresses(),
+                          self.machine.memory.line_size)
         self._warm_text()
 
     def _warm_text(self) -> None:
@@ -451,9 +442,10 @@ class Engine:
         ``warmup`` is a :class:`repro.sampling.fastforward.WarmupState`
         (duck-typed: anything with ``mem_addresses``, ``cond_branches``,
         ``branch_targets``).  Data lines are replayed into L1D+L2 in
-        last-touch order, so LRU replacement leaves each set holding its
-        most recently used lines — reconstructing the cache contents of a
-        continuous run at this point.  Branch targets fill the BTB and
+        last-touch order, each distinct line once (exact for LRU, see
+        :func:`~repro.uarch.caches.replay_last_touch`), so each set holds
+        its most recently used lines — reconstructing the cache contents
+        of a continuous run at this point.  Branch targets fill the BTB and
         conditional outcomes train the TAGE tables through the normal
         predict/update path.  The program text is warmed like
         steady-state fetch leaves it.  Windows use this INSTEAD of the
@@ -461,11 +453,9 @@ class Engine:
         models program *entry*, not a mid-program cut).  Must be called
         before the first :meth:`step`.
         """
-        line = self.machine.memory.line_size
-        for addr in warmup.mem_addresses:
-            line_addr = addr // line
-            self.hierarchy.l2.insert(line_addr)
-            self.hierarchy.l1d.insert(line_addr)
+        replay_last_touch((self.hierarchy.l2, self.hierarchy.l1d),
+                          warmup.mem_addresses,
+                          self.machine.memory.line_size)
         self._warm_text()
         for pc, target in warmup.branch_targets:
             self.predictor.btb.insert(pc, target)
@@ -509,24 +499,28 @@ class Engine:
         warm_instructions = 0
         warm_pending = warmup_instructions > 0
         progress = 0
-        advance = self._advance
-        while not self.finished:
-            if self.cycle >= max_cycles:
-                raise SimulationError(
-                    f"{self.program.name}: window exceeded {max_cycles} "
-                    f"cycles (arch pc={self.order[0].pc})"
+        advance = self._advancer()
+        try:
+            while not self.finished:
+                if self.cycle >= max_cycles:
+                    raise SimulationError(
+                        f"{self.program.name}: window exceeded {max_cycles} "
+                        f"cycles (arch pc={self.order[0].pc})"
+                    )
+                advance(max_cycles,
+                        target_warm if warm_pending else target_total)
+                progress = (
+                    stats.arch_instructions + stats.spec_committed_instructions
                 )
-            advance(max_cycles, target_warm if warm_pending else target_total)
-            progress = (
-                stats.arch_instructions + stats.spec_committed_instructions
-            )
-            if warm_pending and progress >= target_warm:
-                warm_cycle = self.cycle
-                warm_instructions = progress
-                warm_pending = False
-                target_total = progress + n_instructions
-            if not warm_pending and progress >= target_total:
-                break
+                if warm_pending and progress >= target_warm:
+                    warm_cycle = self.cycle
+                    warm_instructions = progress
+                    warm_pending = False
+                    target_total = progress + n_instructions
+                if not warm_pending and progress >= target_total:
+                    break
+        finally:
+            self._release_views()
         self._flush_cycle_stats()
         stats.cycles = self.cycle
         return WindowResult(
@@ -539,14 +533,32 @@ class Engine:
         )
 
     def _run_loop(self, max_cycles: int) -> None:
-        advance = self._advance
-        while not self.finished:
-            if self.cycle >= max_cycles:
-                raise SimulationError(
-                    f"{self.program.name}: exceeded {max_cycles} cycles "
-                    f"(arch pc={self.order[0].pc})"
-                )
-            advance(max_cycles)
+        advance = self._advancer()
+        try:
+            while not self.finished:
+                if self.cycle >= max_cycles:
+                    raise SimulationError(
+                        f"{self.program.name}: exceeded {max_cycles} cycles "
+                        f"(arch pc={self.order[0].pc})"
+                    )
+                advance(max_cycles)
+        finally:
+            self._release_views()
+
+    def _release_views(self) -> None:
+        """Drop the threadlets' cached memory views when a run loop exits.
+
+        A view points back at its engine and its threadlet, so the cache
+        is a reference cycle; released here, a finished engine is freed
+        by reference counting as soon as its last outside reference goes.
+        """
+        for t in self.threadlets:
+            t.mem_view = None
+
+    def _advancer(self):
+        """The advance step of this engine's mode, bound for one run loop
+        (a local, so it forms no cycle with the engine)."""
+        return self._reference_advance if self.reference_mode else self._ep_advance
 
     def _reference_advance(
         self, max_cycles: int, stop_at: int = _NO_STOP
@@ -1623,24 +1635,23 @@ class Engine:
     # Memory views (functional access at fetch)
     # ------------------------------------------------------------------
 
+    # The optimized mode reads the per-slot orders from caches recomputed
+    # only when ``order`` mutates (_order_changed below), not on every
+    # speculative memory access; the reference mode derives them from
+    # ``order`` each time.  The cached lists are read-only to all
+    # consumers (SSB versioned reads, conflict-detector write checks).
+
     def _older_slots(self, threadlet: Threadlet) -> List[int]:
+        if not self.reference_mode:
+            return self._older_cache[threadlet.slot]
         idx = self.order.index(threadlet)
         return [t.slot for t in reversed(self.order[:idx])]
 
     def _younger_slots(self, threadlet: Threadlet) -> List[int]:
+        if not self.reference_mode:
+            return self._younger_cache[threadlet.slot]
         idx = self.order.index(threadlet)
         return [t.slot for t in self.order[idx + 1 :]]
-
-    # Optimized-mode variants: the per-slot orders are recomputed only when
-    # ``order`` mutates (_order_changed below), not on every speculative
-    # memory access.  The cached lists are read-only to all consumers
-    # (SSB versioned reads, conflict-detector write checks).
-
-    def _cached_older_slots(self, threadlet: Threadlet) -> List[int]:
-        return self._older_cache[threadlet.slot]
-
-    def _cached_younger_slots(self, threadlet: Threadlet) -> List[int]:
-        return self._younger_cache[threadlet.slot]
 
     def _order_changed(self) -> None:
         """Rebuild the slot-order caches; called at every ``order``

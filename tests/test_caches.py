@@ -1,7 +1,14 @@
 """Unit tests for the cache hierarchy timing model."""
 
 
-from repro.uarch.caches import MemoryHierarchy, _CacheLevel, _StridePrefetcher
+from hypothesis import given, settings, strategies as st
+
+from repro.uarch.caches import (
+    MemoryHierarchy,
+    _CacheLevel,
+    _StridePrefetcher,
+    replay_last_touch,
+)
 from repro.uarch.config import MemoryConfig
 from repro.uarch.statistics import SimStats
 
@@ -96,3 +103,53 @@ def test_writes_allocate_lines():
     h.access_data(0x6000, 0, is_write=True)
     ready = h.access_data(0x6000, 500, is_write=False)
     assert ready == 500 + MemoryConfig().l1d_latency
+
+
+def _small_levels():
+    # Tiny, heavily evicting levels: 4 sets x 2 ways and 2 sets x 4 ways
+    # of 16-byte lines, against addresses spanning 64 lines.
+    return (
+        _CacheLevel("a", size=8 * 16, assoc=2, line=16, latency=1, mshrs=4),
+        _CacheLevel("b", size=8 * 16, assoc=4, line=16, latency=1, mshrs=4),
+    )
+
+
+def _lru_state(level):
+    """Per set: the resident lines, least recently used first."""
+    return [sorted(cache_set, key=cache_set.get) for cache_set in level.sets]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    record=st.lists(st.integers(0, 64 * 16 - 1), max_size=120),
+    preloaded=st.lists(st.integers(0, 63), max_size=10),
+    follow_on=st.lists(st.integers(0, 63), max_size=60),
+)
+def test_last_touch_replay_matches_per_address_replay(
+        record, preloaded, follow_on):
+    """Inserting each distinct line once, in last-touch order, leaves an
+    LRU level exactly as inserting every address's line does: same set
+    contents, same relative LRU order, same hits and misses after."""
+    per_address = _small_levels()
+    per_line = _small_levels()
+    for levels in (per_address, per_line):
+        for level in levels:
+            for line_addr in preloaded:
+                level.insert(line_addr)
+    for level in per_address:
+        for addr in record:
+            level.insert(addr // 16)
+    replay_last_touch(per_line, tuple(record), 16)
+
+    for slow, fast in zip(per_address, per_line):
+        assert _lru_state(fast) == _lru_state(slow)
+        hits_slow = []
+        hits_fast = []
+        for line_addr in follow_on:
+            for level, hits in ((slow, hits_slow), (fast, hits_fast)):
+                hit = level.lookup(line_addr)
+                if not hit:
+                    level.insert(line_addr)
+                hits.append(hit)
+        assert hits_fast == hits_slow
+        assert _lru_state(fast) == _lru_state(slow)

@@ -102,6 +102,29 @@ def test_longrun_genuinely_sampled_within_five_percent():
         f"sampled CPI off by {error:+.2%} (bound {sampled.error_bound:.2%})"
     )
 
+    # Pinned: the estimate and every window's cycles, in plan order.
+    assert sampled.estimated_cycles == 183116
+    assert [w.measured_cycles for w in sampled.windows] == [
+        1673, 2328, 2232, 1986, 2229, 1972, 2309, 1387,
+    ]
+
+    # The pooled streaming path returns the same numbers as the inline one.
+    memory, regs = workload.fresh_input()
+    pooled = sampling_runner.run_program_sampled(
+        workload.program, memory, regs, machine, SamplingConfig(),
+        max_cycles=workload.max_cycles, jobs=2,
+    )
+    assert pooled.estimated_cycles == sampled.estimated_cycles
+    assert pooled.estimated_cpi == sampled.estimated_cpi
+    assert pooled.error_bound == sampled.error_bound
+    assert [
+        (w.interval_index, w.measured_instructions, w.measured_cycles)
+        for w in pooled.windows
+    ] == [
+        (w.interval_index, w.measured_instructions, w.measured_cycles)
+        for w in sampled.windows
+    ]
+
 
 def test_sampled_digest_is_a_distinct_dimension():
     workload = get_workload("imagick_conv")

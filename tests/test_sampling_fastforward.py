@@ -86,9 +86,9 @@ def test_detail_from_checkpoint_matches_detail_from_zero(seed):
     ).run_to_halt()
     assert total > 3
     boundaries = sorted({total // 3, (2 * total) // 3})
-    checkpoints = collect_checkpoints(
+    checkpoints = dict(collect_checkpoints(
         program, _fresh_memory(seed), _initial_regs(seed), boundaries
-    )
+    ))
 
     for boundary, cp in checkpoints.items():
         assert cp.icount == boundary
@@ -114,9 +114,9 @@ def test_checkpoint_memory_is_isolated_per_window():
     total = FastForwardExecutor(
         program, _fresh_memory(0), _initial_regs(0)
     ).run_to_halt()
-    cp = collect_checkpoints(
+    cp = dict(collect_checkpoints(
         program, _fresh_memory(0), _initial_regs(0), [total // 2]
-    )[total // 2]
+    ))[total // 2]
 
     snapshot = _memory_image(cp.memory)
     first = Engine(default_machine(), program, cp.engine_memory(),

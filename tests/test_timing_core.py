@@ -7,9 +7,15 @@ The key invariants:
 * conflict detection catches真 cross-threadlet violations and recovers.
 """
 
+import gc
+import weakref
+
+import pytest
 
 from repro.compiler import CompileOptions, compile_frog
 from repro.uarch import BaselineCore, LoopFrogCore, SparseMemory
+from repro.uarch.config import default_machine
+from repro.uarch.core import ENGINE_MODES, Engine, set_engine_mode
 from repro.uarch.executor import Executor
 
 
@@ -286,3 +292,33 @@ def test_zero_trip_loop():
         result.program, SparseMemory(), {"r1": 1000, "r2": 2000, "r3": 0}
     )
     assert sim.stats.arch_instructions > 0
+
+
+@pytest.mark.parametrize("mode", ENGINE_MODES)
+@pytest.mark.parametrize("entry", ["run", "run_window"])
+def test_finished_engine_is_freed_without_gc(mode, entry):
+    """A finished engine holds no reference cycle: once run() or
+    run_window() returns, dropping the last outside reference frees it
+    by reference counting alone (sampled runs rely on this to hold one
+    engine at a time)."""
+    program = compile_frog(PARALLEL_KERNEL).program
+    regs = {"r1": 1000, "r2": 2000, "r3": 64}
+    set_engine_mode(mode)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        engine = Engine(default_machine(), program, make_mem(64), regs)
+        if entry == "run":
+            engine.run()
+        else:
+            engine.run_window(200)
+        # The run exercised both memory views: architectural and
+        # speculative threadlets.
+        assert engine.stats.threadlets_spawned > 0
+        alive = weakref.ref(engine)
+        del engine
+        assert alive() is None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+        set_engine_mode(None)
