@@ -9,11 +9,12 @@ path passes :class:`~repro.uarch.memory_state.SparseMemory` directly.
 The executor treats LoopFrog hints as nops, matching the paper's guarantee
 that hint instructions never change sequential semantics (section 3).
 
-Two closure-compiled siblings trade this module's generality for speed —
-:mod:`repro.sampling.fastforward` (architectural-only fast-forwarding)
-and :mod:`repro.uarch.fastpath` (the detailed engine's optimized
-fetch).  Both are differentially tested against the dispatch-table
-semantics here, which stays the oracle.
+One closure compiler, :mod:`repro.uarch.fastpath`, trades this module's
+generality for speed.  Its per-pc handlers serve both fast interpreters:
+the detailed engine's optimized fetch and the architectural-only
+:class:`repro.sampling.fastforward.FastForwardExecutor`.  Both are
+differentially tested against the dispatch-table semantics here, which
+stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -282,7 +283,13 @@ def _exec_fcvt(instr, regs, memory, pc):
 
 
 def _exec_icvt(instr, regs, memory, pc):
-    regs[instr.dest] = _as_int(regs[instr.srcs[0]])
+    a = regs[instr.srcs[0]]
+    try:
+        regs[instr.dest] = _as_int(a)
+    except (ValueError, OverflowError):
+        raise ExecutionError(
+            f"icvt of non-finite {a} at pc={pc}: {instr}"
+        ) from None
     return ExecResult(pc + 1)
 
 

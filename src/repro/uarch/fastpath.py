@@ -1,34 +1,49 @@
-"""Compiled per-instruction fetch path for the detailed timing engine.
+"""The ISA's closure compiler: per-pc handlers for both fast interpreters.
 
-This extends the closure-compilation technique of
-:mod:`repro.sampling.fastforward` into :class:`repro.uarch.core.Engine`'s
-fetch/decode/execute stage.  The reference fetch path re-interprets every
-dynamic instruction through :data:`repro.uarch.executor.DISPATCH`: an
-indexed handler call that re-reads ``instr.srcs``/``instr.imm``, allocates
-an :class:`~repro.uarch.executor.ExecResult`, and re-derives signedness
-masks per call.  Here each *static* instruction is compiled once per
-program into a closure with its operands, immediates, wrap constants and
-fall-through pc bound as locals, so steady-state fetch does no decode work
-at all.
+Two consumers run a program through the same compiled handlers:
+
+* :class:`repro.uarch.core.Engine`'s fetch/decode/execute stage, with the
+  threadlet's register file and its SSB-backed or architectural memory
+  view;
+* :class:`repro.sampling.fastforward.FastForwardExecutor`, the
+  architectural-only interpreter behind sampled fast-forward, task
+  extraction and loop profiling.  Its extra behaviour (basic-block
+  counting, warm-up recording, hint stops, the negative-``ret`` guard)
+  lives in per-pc wrappers around these closures, never in a second copy
+  of the ISA.
+
+The golden :func:`repro.uarch.executor.execute_one` re-interprets every
+dynamic instruction: an indexed handler call that re-reads
+``instr.srcs``/``instr.imm``, allocates an
+:class:`~repro.uarch.executor.ExecResult`, and re-derives signedness masks
+per call.  Here each *static* instruction is compiled once per program
+into a closure with its operands, immediates, wrap constants and
+fall-through pc bound as locals, so steady-state execution does no decode
+work at all.
 
 Handler contract (one closure per pc)::
 
     next_pc = handler(regs, view, out)
 
-* ``regs`` is the threadlet's register dict, mutated in place.
-* ``view`` is the threadlet's memory view (``load``/``store`` bound to the
-  SSB or architectural memory by the engine).
-* ``out`` is a two-slot scratch list owned by the engine:
+* ``regs`` is the register dict, mutated in place.
+* ``view`` is the memory view: any object with ``load(addr, size)`` and
+  ``store(addr, size, value)`` (a threadlet's view, ``SparseMemory``
+  itself, or a recording wrapper).
+* ``out`` is a two-slot scratch list owned by the caller:
   ``out[0]`` receives the effective address (memory ops only) and
-  ``out[1]`` the taken flag (branches only).  The engine reads each slot
+  ``out[1]`` the taken flag (branches only).  A caller reads each slot
   only when the per-pc :data:`FLAG_MEM`/:data:`FLAG_BRANCH` bit is set,
   so stale values from earlier instructions are never observed.
+* A ``halt`` handler raises :class:`HaltStop`.  The engine never calls
+  one (it checks :data:`FLAG_HALT` at fetch); the fast-forward executor
+  stops on it.
 
-Semantics must stay *bit-identical* to ``executor.py`` — including the
-text of :class:`~repro.errors.ExecutionError` messages, which the engine
-stores in ``Threadlet.faulted`` and later surfaces in the architectural
-fault exception the parity suite compares.  Any behaviour change here is
-an engine-semantics change and belongs in ``executor.py`` first.
+Semantics must stay *bit-identical* to ``executor.py``, the independent
+oracle — including the text of :class:`~repro.errors.ExecutionError`
+messages, which the engine stores in ``Threadlet.faulted`` and later
+surfaces in the architectural fault exception the parity suite compares.
+Any behaviour change here is an ISA change and belongs in ``executor.py``
+first.
 """
 
 from __future__ import annotations
@@ -54,6 +69,13 @@ _SIGN64 = 1 << 63
 _WRAP64 = 1 << 64
 
 Handler = Callable[[dict, object, list], int]
+
+
+class HaltStop(Exception):
+    """Raised by a ``halt`` handler; carries the halting pc."""
+
+    def __init__(self, pc: int):
+        self.pc = pc
 
 
 def _compile_instruction(instr: Instruction, pc: int) -> Handler:
@@ -238,8 +260,14 @@ def _compile_instruction(instr: Instruction, pc: int) -> Handler:
             return _n
         return h
     if op is Opcode.ICVT:
-        def h(regs, view, out, _a=srcs[0], _d=d, _n=nxt):
-            v = int(regs[_a]) & MASK64
+        def h(regs, view, out, _a=srcs[0], _d=d, _n=nxt, _p=pc, _ins=instr):
+            a = regs[_a]
+            try:
+                v = int(a) & MASK64
+            except (ValueError, OverflowError):
+                raise ExecutionError(
+                    f"icvt of non-finite {a} at pc={_p}: {_ins}"
+                ) from None
             regs[_d] = v - _WRAP64 if v >= _SIGN64 else v
             return _n
         return h
@@ -383,17 +411,21 @@ def _compile_instruction(instr: Instruction, pc: int) -> Handler:
         return h
     if op is Opcode.RET:
         # No range check here: the engine validates the next fetch's pc,
-        # exactly like the reference path (executor _exec_ret).
+        # exactly like the reference path (executor _exec_ret); the
+        # fast-forward executor wraps its RET pcs with its own guard.
         def h(regs, view, out):
             out[1] = True
             return int(regs["ra"])
         return h
 
-    # -- hints / system (functional nops; HALT never executes) -------------
-    if op in (Opcode.DETACH, Opcode.REATTACH, Opcode.SYNC, Opcode.NOP,
-              Opcode.HALT):
+    # -- hints / system ------------------------------------------------------
+    if op in (Opcode.DETACH, Opcode.REATTACH, Opcode.SYNC, Opcode.NOP):
         def h(regs, view, out, _n=nxt):
             return _n
+        return h
+    if op is Opcode.HALT:
+        def h(regs, view, out, _p=pc):
+            raise HaltStop(_p)
         return h
 
     msg = f"unimplemented opcode {op!r} at pc={pc}"

@@ -150,6 +150,28 @@ def test_committed_baseline_has_fast_forward_rate():
     assert set(record["per_benchmark"]) == set(record["benchmarks"])
 
 
+def test_fast_forward_rate_is_reported_not_gated(records, capsys):
+    """Fast-forward throughput is an informational line: a rate at half
+    the baseline is printed with its ratio but does not fail the run."""
+    rc = _main(
+        records("base.json", fast_forward_instructions_per_second=1_880_000),
+        records("cur.json", fast_forward_instructions_per_second=1_000_000),
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert ("fast-forward: baseline 1880000 instr/s, "
+            "current 1000000 instr/s, ratio 0.532") in out
+
+
+def test_fast_forward_rate_without_baseline(records, capsys):
+    rc = _main(
+        records("base.json"),
+        records("cur.json", fast_forward_instructions_per_second=1_000_000),
+    )
+    assert rc == 0
+    assert "fast-forward: 1000000 instr/s" in capsys.readouterr().out
+
+
 def test_schema_bump_skips_semantics_gate(records, capsys):
     """A deliberate schema bump makes cycle totals incomparable — the gate
     must skip the exact check (but still enforce throughput)."""

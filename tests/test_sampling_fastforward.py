@@ -16,6 +16,9 @@ Exercised over the same seed-pinned random Frog corpus as
 data-dependent branches and speculation pressure included.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.compiler import compile_frog
@@ -26,7 +29,7 @@ from repro.sampling.fastforward import (
     collect_checkpoints,
 )
 from repro.uarch.config import default_machine
-from repro.uarch.core import Engine
+from repro.uarch.core import ENGINE_MODES, Engine, set_engine_mode
 from repro.uarch.executor import Executor
 
 from tests.test_differential import (
@@ -157,3 +160,93 @@ def test_fault_messages_match_functional_executor(fault):
         FastForwardExecutor(program).run_to_halt()
     assert str(fast.value) == str(golden.value)
     assert str(golden.value).endswith(f": {program.instructions[-2]}")
+
+
+def _engine_outcome(program, mode):
+    """Final registers of a detailed run in ``mode``, or its fault text."""
+    set_engine_mode(mode)
+    try:
+        engine = Engine(default_machine(), program, None, None)
+    finally:
+        set_engine_mode(None)
+    try:
+        engine.run()
+    except ExecutionError as exc:
+        return str(exc)
+    return dict(engine.order[0].regs)
+
+
+@pytest.mark.parametrize("op", ["and", "or", "xor", "shl", "shr"])
+@pytest.mark.parametrize("form", ["imm", "reg"])
+def test_bitwise_ops_truncate_float_valued_int_register(op, form):
+    """An integer register holding a float (``mov`` from an FP register)
+    is truncated with ``int`` by every interpreter before the bitwise op."""
+    operand = "3" if form == "imm" else "r3"
+    program = assemble(
+        f"fli f1, 2.5\nmov r1, f1\nli r3, 3\n{op} r2, r1, {operand}\nhalt\n"
+    )
+    golden = Executor(program).run().registers
+    ff = FastForwardExecutor(program)
+    ff.run_to_halt()
+    hinted = FastForwardExecutor(program)
+    hinted.run_hints(lambda instr, icount: None, 1000)
+    assert ff.regs == golden
+    assert hinted.regs == golden
+    for mode in ENGINE_MODES:
+        assert _engine_outcome(program, mode) == golden, mode
+
+
+@pytest.mark.parametrize("ra", [-3, 99], ids=["negative", "past_end"])
+def test_ret_out_of_range_faults_match_functional_executor(ra):
+    """A ``ret`` to an address outside the program faults with the golden
+    executor's text in both fast-forward runs."""
+    program = assemble(f"li ra, {ra}\nret\nhalt\n")
+    with pytest.raises(ExecutionError) as golden:
+        Executor(program).run()
+    assert str(golden.value) == f"pc {ra} out of range in <asm>"
+    with pytest.raises(ExecutionError) as fast:
+        FastForwardExecutor(program).run_to_halt()
+    with pytest.raises(ExecutionError) as hinted:
+        FastForwardExecutor(program).run_hints(lambda i, c: None, 1000)
+    assert str(fast.value) == str(golden.value)
+    assert str(hinted.value) == str(golden.value)
+
+
+@pytest.mark.parametrize("make", [
+    "fmul f2, f1, f1",
+    "fmul f2, f1, -1e308",
+    "fmul f3, f1, f1\nfsub f2, f3, f3",
+], ids=["inf", "-inf", "nan"])
+def test_icvt_of_non_finite_is_a_typed_fault(make):
+    """``icvt`` of NaN or +/-inf raises the same typed one-line fault in
+    every interpreter, and the detailed engine reports it as an
+    architectural fault instead of crashing."""
+    program = assemble(f"fli f1, 1e308\n{make}\nicvt r1, f2\nhalt\n")
+    with pytest.raises(ExecutionError) as golden:
+        Executor(program).run()
+    message = str(golden.value)
+    assert message.endswith(f": {program.instructions[-2]}")
+    assert message.startswith("icvt of non-finite ")
+    with pytest.raises(ExecutionError) as fast:
+        FastForwardExecutor(program).run_to_halt()
+    with pytest.raises(ExecutionError) as hinted:
+        FastForwardExecutor(program).run_hints(lambda i, c: None, 1000)
+    assert str(fast.value) == message
+    assert str(hinted.value) == message
+    for mode in ENGINE_MODES:
+        outcome = _engine_outcome(program, mode)
+        assert outcome.endswith(f"architectural fault: {message}"), mode
+
+
+def test_halted_executor_is_freed():
+    """Nothing compiled per program keeps a halted run alive: the stop
+    raised at ``halt`` is not a cached exception whose traceback would
+    pin the last executor's frames, registers and memory for as long as
+    the program lives."""
+    program = _compiled(0)
+    ff = FastForwardExecutor(program, _fresh_memory(0), _initial_regs(0))
+    ff.run_to_halt()
+    memory = weakref.ref(ff.memory)
+    del ff
+    gc.collect()
+    assert memory() is None

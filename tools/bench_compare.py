@@ -153,6 +153,20 @@ def compare(baseline, current, tolerance=DEFAULT_TOLERANCE):
     if cur_ep:
         lines.append(f"epoch-parallel: {cur_ep:.0f} instr/s")
 
+    # -- fast-forward throughput (informational; no gate — the committed
+    # rate does not carry over between machines, so a floor needs a
+    # per-machine calibration first) -----------------------------------------
+    cur_ff = current.get("fast_forward_instructions_per_second")
+    if cur_ff:
+        base_ff = baseline.get("fast_forward_instructions_per_second")
+        if base_ff:
+            lines.append(
+                f"fast-forward: baseline {base_ff:.0f} instr/s, "
+                f"current {cur_ff:.0f} instr/s, ratio {cur_ff / base_ff:.3f}"
+            )
+        else:
+            lines.append(f"fast-forward: {cur_ff:.0f} instr/s")
+
     # -- fuzz throughput (informational; no gate — the fuzz session mixes
     # compile, differential execution and minimization, so its programs/s
     # moves with all of them and a dedicated floor would double-gate) -------
